@@ -2,17 +2,12 @@
 //
 // Directory (sim), LiveDirectory (threaded) and DirectoryService (sharded
 // multi-object) all accept the same `arvy::Options` aggregate; each facade
-// reads the fields meaningful for its transport and ignores the rest. The
-// historical per-facade structs survive as thin aliases for one release:
+// reads the fields meaningful for its transport and ignores the rest, and
+// runtime::ActorSystem takes the same struct.
 //
-//   using DirectoryOptions = Options;          // since PR 10
-//   using LiveOptions = Options;               // since PR 10
-//   namespace runtime { using ActorOptions = arvy::Options; }
-//
-// Field guide (all designated-init friendly; order matters for designated
-// initializers, so protocol fields keep their historical DirectoryOptions
-// order and the transport knobs are appended after them - every pre-PR-10
-// initializer keeps compiling unchanged):
+// Field guide (all designated-init friendly; designated initializers must
+// follow declaration order, which puts the protocol fields first and the
+// transport knobs after them):
 //   .policy      NewParent policy (Arrow, Ivy, ring bridge, ...).
 //   .kback_k     k for PolicyKind::kKBack only.
 //   .discipline  sim-only: delivery order (timed / fifo / lifo / random).
@@ -77,9 +72,5 @@ struct Options {
   std::size_t ring_capacity = 256;
   std::chrono::microseconds fault_time_unit{200};
 };
-
-// Historical names, kept as aliases for one release (see the header comment).
-using DirectoryOptions = Options;
-using LiveOptions = Options;
 
 }  // namespace arvy

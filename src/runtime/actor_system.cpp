@@ -4,17 +4,6 @@
 
 #include "support/assert.hpp"
 
-// TSan cannot model standalone fences (GCC diagnoses them under
-// -fsanitize=thread). The two seq_cst fences in this TU only order the
-// eventcount's flag checks against each other (the Dekker pairing in
-// run_worker/maybe_wake); every cross-thread *data* transfer synchronizes
-// through atomics TSan does track (the ring slot sequence words), and a
-// missed wakeup is bounded by the worker's 2 ms timed backstop. Ignoring
-// the fences therefore costs the analysis nothing.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
-
 namespace arvy::runtime {
 
 ActorSystem::ActorSystem(const graph::Graph& g,
@@ -97,7 +86,7 @@ proto::RequestId ActorSystem::request(NodeId v) {
     (void)proto::wire::encode_request_envelope(id, slot);
   });
   ARVY_ASSERT_MSG(pushed, "request raced shutdown");
-  maybe_wake(*actor.owner);
+  actor.owner->events.notify();
   return id;
 }
 
@@ -180,14 +169,14 @@ void ActorSystem::shutdown() {
   // frames sent to an already-closed ring during a non-quiescent teardown
   // are the documented accepted loss. Release (not seq_cst: the flag takes
   // no part in the Dekker pairing) - a parked worker observes the store
-  // through wake_slow's mutex handoff below, a running one through its
-  // next park attempt or the 2 ms timed backstop.
+  // through the wake's mutex handoff below, a running one through its next
+  // park attempt or the eventcount's timed backstop.
   stopping_.store(true, std::memory_order_release);
   for (auto& actor : actors_) {
     actor->ring->close();
     actor->overflow.close();
   }
-  for (auto& worker : workers_) wake_slow(*worker);
+  for (auto& worker : workers_) worker->events.wake();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
@@ -222,41 +211,16 @@ void ActorSystem::note_satisfied() {
 // --- worker loop -----------------------------------------------------------
 
 void ActorSystem::run_worker(Worker& worker) {
-  for (;;) {
-    bool did_work = false;
-    for (const NodeId v : worker.actors) {
-      did_work |= drain_actor(worker, *actors_[v]);
-    }
-    if (did_work) continue;
-
-    // Eventcount park. Announce intent with a seq_cst store, re-scan, and
-    // only then wait: a producer that published after the re-scan began
-    // observes kPreparing past its own seq_cst fence and takes the wake_slow
-    // path; a producer that published before is caught by the re-scan. The
-    // short timed wait is a belt-and-braces backstop, not a correctness
-    // requirement.
-    worker.phase.store(Worker::kPreparing, std::memory_order_seq_cst);
-    // Store-load fence: the re-scan's loads must not be satisfied from
-    // before the kPreparing store became visible (Dekker pairing with the
-    // producer's fence in maybe_wake).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (worker_has_work(worker)) {
-      worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
-      continue;
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
-      return;  // partition drained and the system is stopping
-    }
-    {
-      std::unique_lock<support::RankedMutex> lock(worker.mutex);
-      if (worker.phase.load(std::memory_order_relaxed) == Worker::kPreparing &&
-          !stopping_.load(std::memory_order_acquire)) {
-        worker.cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-    }
-    worker.phase.store(Worker::kRunning, std::memory_order_relaxed);
-  }
+  worker.events.run(
+      [this, &worker] {
+        bool did_work = false;
+        for (const NodeId v : worker.actors) {
+          did_work |= drain_actor(worker, *actors_[v]);
+        }
+        return did_work;
+      },
+      [this, &worker] { return worker_has_work(worker); },
+      [this] { return stopping_.load(std::memory_order_acquire); });
 }
 
 bool ActorSystem::worker_has_work(const Worker& worker) const {
@@ -409,7 +373,7 @@ ARVY_HOT void ActorSystem::enqueue_protocol(NodeId to,
     overflow_send(peer, message, dedup);
     return;
   }
-  if (result == PushResult::kOk) maybe_wake(*peer.owner);
+  if (result == PushResult::kOk) peer.owner->events.notify();
   // kClosed: delivery raced a non-quiescent shutdown - the message is part
   // of the teardown's accepted loss, not a contract violation.
 }
@@ -420,30 +384,12 @@ void ActorSystem::overflow_send(NodeActor& peer, const proto::Message& message,
   envelope.payload = message;  // boxed copy - cold path only
   envelope.dedup = dedup;
   if (!peer.overflow.try_push(std::move(envelope))) return;  // accepted loss
-  // Release is enough (was seq_cst): maybe_wake's seq_cst fence right after
-  // this store is the producer half of the Dekker pairing, so either the
-  // parking worker's post-fence rescan sees the flag or this thread sees
-  // kPreparing and takes wake_slow - same argument as the ring publish.
+  // Release is enough (was seq_cst): notify()'s seq_cst fence right after
+  // this store is the producer half of the eventcount's Dekker pairing, so
+  // either the parking worker's re-scan sees the flag or this thread sees
+  // it preparing to park and wakes it - same argument as the ring publish.
   peer.overflow_nonempty.store(true, std::memory_order_release);
-  maybe_wake(*peer.owner);
-}
-
-ARVY_HOT void ActorSystem::maybe_wake(Worker& worker) {
-  // Publish-then-check side of the eventcount: the fence orders this
-  // thread's frame publish before the phase read, pairing with the
-  // consumer's seq_cst kPreparing store before its re-scan.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (worker.phase.load(std::memory_order_relaxed) != Worker::kRunning) {
-    wake_slow(worker);
-  }
-}
-
-void ActorSystem::wake_slow(Worker& worker) {
-  {
-    std::lock_guard<support::RankedMutex> lock(worker.mutex);
-    worker.phase.store(Worker::kNotified, std::memory_order_relaxed);
-  }
-  worker.cv.notify_one();
+  peer.owner->events.notify();
 }
 
 bool ActorSystem::first_arrival(NodeActor& actor, std::uint64_t dedup) {

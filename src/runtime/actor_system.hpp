@@ -35,11 +35,10 @@
 //    every increment happens while holding stats_mutex_ followed by a CV
 //    notify: the increment cannot interleave between a waiter's predicate
 //    check and its wait, so wakeups are never lost;
-//  - worker parking is an eventcount: a producer publishes its frame, issues
-//    a seq_cst fence, and reads the consumer's phase word; the consumer
-//    announces kPreparing with a seq_cst store, rescans its rings, and only
-//    then parks (with a short timed backstop). One side always observes the
-//    other, so no wakeup is lost without any lock on the publish path;
+//  - each worker parks on a runtime::EventCount (runtime/event_count.hpp):
+//    a producer publishes its frame and calls notify(), which locks only if
+//    the worker is parked or about to park, so no wakeup is lost without
+//    any lock on the publish path;
 //  - request/wait_for_satisfied/satisfied_count may be called from any
 //    thread; shutdown() must not race with request() (push-after-close
 //    aborts) and node() is legal only after shutdown() has returned;
@@ -62,7 +61,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -78,6 +76,7 @@
 #include "proto/policies.hpp"
 #include "proto/wire.hpp"
 #include "runtime/delayed_queue.hpp"
+#include "runtime/event_count.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/ring_mailbox.hpp"
 #include "support/hot.hpp"
@@ -87,17 +86,13 @@ namespace arvy::runtime {
 
 using graph::NodeId;
 
-// The runtime reads the unified options surface (proto/options.hpp): seed,
-// max_jitter, reorder_mailboxes, workers, batch_size, ring_capacity, faults,
-// retry and fault_time_unit. The protocol-resolution fields (policy, initial,
-// sim discipline/delay) are the facade's job - ActorSystem takes the already
-// resolved policy and initial config as constructor arguments.
-using ActorOptions = arvy::Options;
-
 class ActorSystem {
  public:
-  using Options = ActorOptions;
-
+  // Reads the unified options surface (proto/options.hpp): seed, max_jitter,
+  // reorder_mailboxes, workers, batch_size, ring_capacity, faults, retry and
+  // fault_time_unit. The protocol-resolution fields (policy, initial, sim
+  // discipline/delay) are the facade's job - ActorSystem takes the already
+  // resolved policy and initial config as constructor arguments.
   ActorSystem(const graph::Graph& g, const proto::InitialConfig& init,
               const proto::NewParentPolicy& policy, Options options = {});
   ~ActorSystem();
@@ -172,19 +167,11 @@ class ActorSystem {
     Envelope envelope;
   };
 
-  // One drain-side thread. Parking is an eventcount (see file comment);
-  // the mutex/CV pair is only the slow path of wake().
+  // One drain-side thread, parked on its eventcount when idle.
   struct Worker {
-    enum Phase : std::uint32_t { kRunning = 0, kPreparing = 1, kNotified = 2 };
-
     std::vector<NodeId> actors;  // owned partition, round-robin by id
     std::thread thread;
-    // The eventcount word: all ordering comes from the two seq_cst Dekker
-    // fences (run_worker / maybe_wake), so the accesses themselves stay
-    // relaxed except the kPreparing announcement (see actor_system.cpp).
-    std::atomic<std::uint32_t> phase{kRunning};  // ARVY-ATOMIC(eventcount)
-    support::RankedMutex mutex{support::lock_rank::kWorker, "worker-park"};
-    std::condition_variable_any cv;
+    EventCount events;
     std::vector<std::uint32_t> shuffle;  // reorder_mailboxes batch scratch
   };
 
@@ -230,16 +217,12 @@ class ActorSystem {
   // overflow valve when full, drops (accepted loss) when closed.
   void enqueue_protocol(NodeId to, const proto::Message& message,
                         std::uint64_t dedup);
-  // Cold overflow spill + slow wake, out of line so enqueue stays hot-clean.
-  // ARVY_COLD keeps these (and the std:: machinery they drag in) out of the
-  // callers' .text.hot sections, so the binary audit sees the hot/cold
-  // boundary exactly where the design puts it (see support/hot.hpp).
+  // Cold overflow spill, out of line so enqueue stays hot-clean. ARVY_COLD
+  // keeps it (and the std:: machinery it drags in) out of the callers'
+  // .text.hot sections, so the binary audit sees the hot/cold boundary
+  // exactly where the design puts it (see support/hot.hpp).
   ARVY_COLD void overflow_send(NodeActor& peer, const proto::Message& message,
                                std::uint64_t dedup);
-  // Eventcount wake: fence + phase check inline, locking slow path only if
-  // the owner is parked or preparing to park.
-  void maybe_wake(Worker& worker);
-  ARVY_COLD void wake_slow(Worker& worker);
   [[nodiscard]] bool worker_has_work(const Worker& worker) const;
   // First-arrival check for a duplicated send's dedup group (cold: the
   // hash-table insert may rehash, i.e. allocate).

@@ -3,7 +3,7 @@
 // Same contract as the simulator-backed arvy::Directory - submit requests,
 // drain, snapshot costs and fault stats - but execution is real OS
 // asynchrony: a worker pool batch-draining per-node MPSC ring mailboxes of
-// wire-encoded envelopes (LiveOptions picks the pool and batch sizes),
+// wire-encoded envelopes (Options picks the pool and batch sizes),
 // wall-clock fault windows. Code written against AnyDirectory runs on
 // either transport; the fault-matrix tests run the identical scenario list
 // on both.
@@ -16,7 +16,7 @@
 //   bool all = dir.drain(std::chrono::seconds(5));
 //   dir.shutdown();
 //
-// The sim-only DirectoryOptions fields (discipline, delay) are ignored here:
+// The sim-only Options fields (discipline, delay) are ignored here:
 // the OS scheduler is the delivery discipline.
 #pragma once
 
@@ -34,10 +34,6 @@ class LiveDirectory final : public AnyDirectory {
   // transport knobs (max_jitter, workers, batch_size, ...); see
   // proto/options.hpp for the field guide.
   explicit LiveDirectory(const graph::Graph& g, Options options = {});
-  // Historical two-struct shape (kept for one release, like the LiveOptions
-  // alias itself): protocol fields come from `options`, transport knobs from
-  // `live`.
-  LiveDirectory(const graph::Graph& g, Options options, LiveOptions live);
   // Shuts the actor system down if the caller has not already.
   ~LiveDirectory() override;
 

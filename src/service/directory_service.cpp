@@ -10,19 +10,11 @@
 
 #include "graph/spanning_tree.hpp"
 #include "proto/messages.hpp"
+#include "runtime/event_count.hpp"
 #include "runtime/ring_mailbox.hpp"
 #include "support/assert.hpp"
 #include "verify/configuration.hpp"
 #include "verify/invariants.hpp"
-
-// Same note as runtime/actor_system.cpp: TSan cannot model standalone fences
-// (GCC diagnoses them under -fsanitize=thread). The two seq_cst fences here
-// only order the eventcount's flag checks against each other; every
-// cross-thread data transfer synchronizes through the ring slot sequence
-// words, and a missed wakeup is bounded by the 2 ms timed backstop.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
-#pragma GCC diagnostic ignored "-Wtsan"
-#endif
 
 namespace arvy {
 
@@ -96,14 +88,10 @@ struct DirectoryService::Shard {
   // request, so fault_stats() never races the worker (see note_progress).
   faults::FaultStats fault_snapshot;
 
-  // kLive: admission ring + pinned worker with an eventcount park (the same
-  // protocol as ActorSystem::Worker; see run_shard / maybe_wake).
+  // kLive: admission ring + pinned worker parked on a runtime::EventCount.
   std::optional<runtime::RingMailbox> ring;
   std::thread thread;
-  enum Phase : std::uint32_t { kRunning = 0, kPreparing = 1, kNotified = 2 };
-  std::atomic<std::uint32_t> phase{kRunning};  // ARVY-ATOMIC(eventcount)
-  support::RankedMutex mutex{support::lock_rank::kWorker, "shard-worker"};
-  std::condition_variable_any cv;
+  runtime::EventCount events;
 
   [[nodiscard]] std::size_t bridge_words() const noexcept {
     return (nodes + 63) / 64;
@@ -532,14 +520,14 @@ void DirectoryService::shutdown() {
   if (is_shut_down()) return;
   if (mode_ == ServiceMode::kLive) {
     // Same order as ActorSystem::shutdown: raise the flag, close admission,
-    // wake everyone (a parked worker observes stopping_ through wake_slow's
+    // wake everyone (a parked worker observes stopping_ through the wake's
     // mutex handoff), then join. Workers drain every published frame before
     // leaving, so a quiescent shutdown loses nothing.
     stopping_.store(true, std::memory_order_release);
     for (auto& shard : shards_) {
       if (shard->ring) shard->ring->close();
     }
-    for (auto& shard : shards_) wake_slow(*shard);
+    for (auto& shard : shards_) shard->events.wake();
     for (auto& shard : shards_) {
       if (shard->thread.joinable()) shard->thread.join();
     }
@@ -560,57 +548,16 @@ ARVY_HOT void DirectoryService::enqueue(Shard& shard,
     std::memcpy(slot, &request, sizeof(request));
   });
   ARVY_ASSERT_MSG(pushed, "acquire raced shutdown");
-  maybe_wake(shard);
-}
-
-ARVY_HOT void DirectoryService::maybe_wake(Shard& shard) {
-  // Publish-then-check side of the eventcount: the fence orders this
-  // thread's frame publish before the phase read, pairing with the worker's
-  // seq_cst kPreparing store before its re-scan (Dekker).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.phase.load(std::memory_order_relaxed) != Shard::kRunning) {
-    wake_slow(shard);
-  }
-}
-
-ARVY_COLD void DirectoryService::wake_slow(Shard& shard) {
-  {
-    std::lock_guard<support::RankedMutex> lock(shard.mutex);
-    shard.phase.store(Shard::kNotified, std::memory_order_relaxed);
-  }
-  shard.cv.notify_one();
+  shard.events.notify();
 }
 
 // --- shard worker ------------------------------------------------------------
 
 void DirectoryService::run_shard(Shard& shard) {
-  for (;;) {
-    if (drain_ring(shard)) continue;
-
-    // Eventcount park (the ActorSystem::run_worker protocol): announce
-    // intent with a seq_cst store, re-scan, and only then wait. A producer
-    // that published after the re-scan began observes kPreparing past its
-    // own fence and takes wake_slow; one that published before is caught by
-    // the re-scan. The timed wait is a backstop, not a correctness need.
-    shard.phase.store(Shard::kPreparing, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (shard.ring->has_ready()) {
-      shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
-      continue;
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
-      return;  // ring drained and the service is stopping
-    }
-    {
-      std::unique_lock<support::RankedMutex> lock(shard.mutex);
-      if (shard.phase.load(std::memory_order_relaxed) == Shard::kPreparing &&
-          !stopping_.load(std::memory_order_acquire)) {
-        shard.cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-    }
-    shard.phase.store(Shard::kRunning, std::memory_order_relaxed);
-  }
+  shard.events.run(
+      [this, &shard] { return drain_ring(shard); },
+      [&shard] { return shard.ring->has_ready(); },
+      [this] { return stopping_.load(std::memory_order_acquire); });
 }
 
 bool DirectoryService::drain_ring(Shard& shard) {

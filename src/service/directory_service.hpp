@@ -29,8 +29,8 @@
 //  - ServiceMode::kSim processes requests inline on the caller's thread:
 //    deterministic, seedable, inspectable any time the service is quiescent.
 //    ServiceMode::kLive pins one worker thread per shard, reusing the PR 8
-//    runtime machinery (Vyukov MPSC ring admission, eventcount parking), so
-//    independent shards satisfy requests in parallel.
+//    runtime machinery (Vyukov MPSC ring admission, runtime::EventCount
+//    parking), so independent shards satisfy requests in parallel.
 //  - Faults: Options::faults is scoped per shard (FaultPlan::for_shard - the
 //    `shards` selector plus per-shard seed decorrelation); each shard engine
 //    owns an independent injector. A token permanently lost to injection
@@ -183,10 +183,8 @@ class DirectoryService {
   [[nodiscard]] std::uint64_t object_seed(ObjectId object) const noexcept;
   std::unique_ptr<Shard> make_shard(std::uint32_t index);
 
-  // Hot admission path: POD copy into the shard's ring + eventcount wake.
+  // Hot admission path: POD copy into the shard's ring + eventcount notify.
   ARVY_HOT void enqueue(Shard& shard, const service::ObjectRequest& request);
-  ARVY_HOT void maybe_wake(Shard& shard);
-  ARVY_COLD void wake_slow(Shard& shard);
 
   // Shard-worker side (the control thread plays worker in kSim).
   void run_shard(Shard& shard);

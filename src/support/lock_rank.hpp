@@ -30,7 +30,7 @@ namespace lock_rank {
 inline constexpr std::uint32_t kStats = 100;    // ActorSystem stats/CV mutex
 inline constexpr std::uint32_t kFaults = 120;   // ActorSystem fault injector
 inline constexpr std::uint32_t kDelayed = 150;  // runtime::DelayedQueue
-inline constexpr std::uint32_t kWorker = 160;   // worker park/wake mutex
+inline constexpr std::uint32_t kWorker = 160;   // runtime::EventCount park
 inline constexpr std::uint32_t kMailbox = 200;  // per-node runtime::Mailbox
 }  // namespace lock_rank
 

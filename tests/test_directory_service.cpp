@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -39,10 +38,6 @@ std::vector<ObjectRequest> make_volley(std::size_t objects, std::size_t nodes,
   }
   return volley;
 }
-
-// The unified-options satellite, pinned: the old names are the new type.
-static_assert(std::is_same_v<DirectoryOptions, Options>);
-static_assert(std::is_same_v<LiveOptions, Options>);
 
 TEST(ServiceDeterminism, SameSeedSameVolleySameTotals) {
   const auto g = graph::make_grid(3, 3);

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -25,31 +26,39 @@ constexpr std::chrono::milliseconds kWait{120000};
 
 TEST(Mailbox, PushPopFifoSingleThread) {
   runtime::Mailbox<int> box;
-  box.push(1);
-  box.push(2);
-  EXPECT_EQ(box.size(), 2u);
-  EXPECT_EQ(box.pop(), std::optional<int>{1});
-  EXPECT_EQ(box.pop(), std::optional<int>{2});
+  EXPECT_TRUE(box.try_push(1));
+  EXPECT_TRUE(box.try_push(2));
+  EXPECT_EQ(box.try_pop(), std::optional<int>{1});
+  EXPECT_EQ(box.try_pop(), std::optional<int>{2});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
 }
 
 TEST(Mailbox, CloseDrainsThenSignalsEnd) {
   runtime::Mailbox<int> box;
-  box.push(7);
+  EXPECT_TRUE(box.try_push(7));
   box.close();
-  EXPECT_EQ(box.pop(), std::optional<int>{7});
-  EXPECT_EQ(box.pop(), std::nullopt);
+  EXPECT_FALSE(box.try_push(8));  // discarded: the box is closed
+  EXPECT_EQ(box.try_pop(), std::optional<int>{7});
+  EXPECT_EQ(box.try_pop(), std::nullopt);
 }
 
 TEST(Mailbox, CrossThreadHandoff) {
   runtime::Mailbox<int> box;
   std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) box.push(i);
-    box.close();
+    for (int i = 0; i < 100; ++i) EXPECT_TRUE(box.try_push(i));
   });
-  int count = 0;
-  while (box.pop().has_value()) ++count;
+  int next = 0;
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  while (next < 100 && std::chrono::steady_clock::now() < deadline) {
+    if (const auto item = box.try_pop()) {
+      EXPECT_EQ(*item, next);  // one producer: FIFO
+      ++next;
+    } else {
+      std::this_thread::yield();
+    }
+  }
   producer.join();
-  EXPECT_EQ(count, 100);
+  EXPECT_EQ(next, 100);
 }
 
 TEST(ActorSystem, SingleRequestMovesToken) {
@@ -67,7 +76,7 @@ TEST(ActorSystem, SingleRequestMovesToken) {
 TEST(ActorSystem, SequentialRoundsAllSatisfied) {
   const auto g = graph::make_grid(3, 3);
   auto policy = proto::make_policy(proto::PolicyKind::kArrow);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 3;
   runtime::ActorSystem system(g, proto::from_tree(graph::bfs_tree(g, 4)),
                               *policy, options);
@@ -89,7 +98,7 @@ TEST(ActorSystem, ConcurrentBurstWithJitterStaysCorrect) {
   // pointers must form a valid rooted tree with exactly one token.
   const auto g = graph::make_ring(8);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 11;
   options.max_jitter = std::chrono::microseconds(150);
   runtime::ActorSystem system(g, proto::ring_bridge_config(8), *policy,
@@ -119,7 +128,7 @@ TEST(ActorSystem, ConcurrentBurstWithJitterStaysCorrect) {
 TEST(ActorSystem, BridgePolicyStressRounds) {
   const auto g = graph::make_ring(10);
   auto policy = proto::make_policy(proto::PolicyKind::kBridge);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 17;
   options.max_jitter = std::chrono::microseconds(50);
   runtime::ActorSystem system(g, proto::ring_bridge_config(10), *policy,
@@ -164,7 +173,7 @@ TEST(ActorSystem, ReorderedMailboxesStayCorrect) {
   // eventual delivery).
   const auto g = graph::make_ring(8);
   auto policy = proto::make_policy(proto::PolicyKind::kIvy);
-  runtime::ActorOptions options;
+  Options options;
   options.seed = 23;
   options.reorder_mailboxes = true;
   runtime::ActorSystem system(g, proto::ring_bridge_config(8), *policy,
@@ -200,7 +209,7 @@ TEST(ActorSystem, WorkerPoolConfigsStayCorrect) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      runtime::ActorOptions options;
+      Options options;
       options.seed = 41 + workers;
       options.workers = workers;
       options.batch_size = batch;
@@ -238,12 +247,11 @@ TEST(LiveDirectory, SingleWorkerModeIsDeterministic) {
   // semantics shows up as a diff here, not as a flaky stress test.
   const auto run_once = [] {
     const auto g = graph::make_ring(12);
-    DirectoryOptions options;
+    Options options;
     options.policy = proto::PolicyKind::kIvy;
     options.seed = 7;
-    LiveOptions live;
-    live.workers = 1;
-    LiveDirectory dir(g, options, live);
+    options.workers = 1;
+    LiveDirectory dir(g, options);
     support::Rng rng(13);
     for (int i = 0; i < 30; ++i) {
       dir.acquire_and_wait(static_cast<NodeId>(rng.next_below(12)));
